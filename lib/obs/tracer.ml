@@ -32,6 +32,7 @@ let attach st sp =
   | [] -> st.roots_rev <- sp :: st.roots_rev
   | parent :: _ -> parent.o_children_rev <- sp :: parent.o_children_rev
 
+(* Close [o] and return its duration. *)
 let close st o =
   let now = st.clock () in
   (match st.stack with
@@ -44,30 +45,49 @@ let close st o =
       | [] -> []
     in
     st.stack <- pop st.stack);
+  let dur_s = now -. o.o_start in
   attach st
     {
       name = o.o_name;
       attrs = List.rev o.o_attrs_rev;
       start_s = o.o_start;
-      dur_s = now -. o.o_start;
+      dur_s;
       children = List.rev o.o_children_rev;
+    };
+  dur_s
+
+let open_span st ?attrs name =
+  let o =
+    {
+      o_name = name;
+      o_start = st.clock ();
+      o_attrs_rev = (match attrs with None -> [] | Some mk -> List.rev (mk ()));
+      o_children_rev = [];
     }
+  in
+  st.stack <- o :: st.stack;
+  o
 
 let span t ?attrs name f =
   match t with
   | Disabled -> f ()
   | Active st ->
-    let o =
-      {
-        o_name = name;
-        o_start = st.clock ();
-        o_attrs_rev =
-          (match attrs with None -> [] | Some mk -> List.rev (mk ()));
-        o_children_rev = [];
-      }
-    in
-    st.stack <- o :: st.stack;
-    Fun.protect ~finally:(fun () -> close st o) f
+    let o = open_span st ?attrs name in
+    Fun.protect ~finally:(fun () -> ignore (close st o)) f
+
+let timed t ?attrs name f =
+  match t with
+  | Disabled ->
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (r, Unix.gettimeofday () -. t0)
+  | Active st -> (
+    let o = open_span st ?attrs name in
+    match f () with
+    | r -> (r, close st o)
+    | exception e ->
+      ignore (close st o);
+      raise e)
 
 let add_attrs t attrs =
   match t with

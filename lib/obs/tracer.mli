@@ -50,6 +50,13 @@ val span : t -> ?attrs:(unit -> (string * value) list) -> string -> (unit -> 'a)
     The span is closed even if the function raises. [attrs] is evaluated
     only when the tracer is enabled. *)
 
+val timed :
+  t -> ?attrs:(unit -> (string * value) list) -> string -> (unit -> 'a) -> 'a * float
+(** As {!span}, also returning the span's duration in seconds — the very
+    [dur_s] the span records, so a caller booking it elsewhere agrees with
+    the trace exactly. With {!null} the duration comes from two
+    [Unix.gettimeofday] reads. *)
+
 val add_attrs : t -> (string * value) list -> unit
 (** Append attributes to the innermost open span — for values only known
     mid-span (e.g. a result count). No-op when disabled or no span is

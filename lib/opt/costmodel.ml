@@ -538,7 +538,7 @@ let fingerprint = function
     (1 :: procs :: float_bits spawn_overhead)
     @ List.concat_map (fun (v, x) -> [ Itf_ir.Intern.str_id v; x ]) params
 
-let make ?(memo = true) spec : Framework.result -> estimate =
+let make spec : Framework.result -> estimate =
   let base result =
     match
       match spec with
@@ -553,13 +553,10 @@ let make ?(memo = true) spec : Framework.result -> estimate =
          tier decides. *)
       { score = 0.; bound = 0. }
   in
-  if not memo then base
-  else
-    let fp = fingerprint spec in
-    fun result ->
-      let nid = Framework.nest_id result in
-      let key =
-        fp
-        @ (nid :: List.map Itf_dep.Depvec.id result.Framework.vectors)
-      in
-      EMemo.find_or_add memo_table key (fun () -> base result)
+  let fp = fingerprint spec in
+  fun result ->
+    let nid = Framework.nest_id result in
+    let key =
+      fp @ (nid :: List.map Itf_dep.Depvec.id result.Framework.vectors)
+    in
+    EMemo.find_or_add memo_table key (fun () -> base result)

@@ -75,15 +75,13 @@ val subtree_admissible : spec -> bool
     parallelism: a descendant can parallelize loops the candidate runs
     sequentially and legitimately beat the candidate's bound. *)
 
-val make : ?memo:bool -> spec -> Itf_core.Framework.result -> estimate
+val make : spec -> Itf_core.Framework.result -> estimate
 (** [make spec] instantiates the estimator — a pure function, safe to
     call concurrently from several domains. It never raises and never
     returns NaN: unanalyzable nests degrade to [bound = 0] with
     [score = 0] (rank first, let the exact tier decide).
 
-    [?memo] (default [true]) memoizes estimates in a process-wide table
-    keyed on a spec fingerprint plus the interned nest and dependence-
-    vector ids ({!Itf_ir.Intern}, {!Itf_dep.Depvec.id}) — identical
-    values, computed at most once per distinct (spec, nest, vectors)
-    triple for the process lifetime. [~memo:false] recomputes every call
-    (the [--no-intern] escape hatch). *)
+    Estimates are memoized in a process-wide table keyed on a spec
+    fingerprint plus the interned nest and dependence-vector ids
+    ({!Itf_ir.Intern}, {!Itf_dep.Depvec.id}) — identical values, computed
+    at most once per distinct (spec, nest, vectors) triple. *)

@@ -11,8 +11,8 @@
       canonical sequence's intern id (an O(1) integer probe — see
       {!Itf_mat.Hashcons} and DESIGN.md §10) answers re-derived
       transformations (interchange twice, reversal pairs, composed
-      unimodulars, ...) without touching the framework. [~intern:false]
-      falls back to structural {!Itf_core.Sequence.reduce} keys;
+      unimodulars, ...) without touching the framework. Ids serve
+      equality only; every order is structural;
     - {b two-tier objective} (pass [~tier0]): every legal candidate is
       first scored by the analytic {!Costmodel} (no simulation); the
       tier-0 rank screens candidates so only the best [~exact_topk] per
@@ -27,17 +27,33 @@
       and the branch-and-bound incumbent only advances between steps —
       so results are bit-identical to a sequential run.
 
+    {b One pipeline.} Every search — the root included — runs the same
+    five phases: {e expand} (moves, canonicalization, cache probes) →
+    {e legality} (the cache misses) → {e tier0} (estimate, then screen)
+    → {e exact} (score the screen's survivors) → {e merge} (the beam).
+    The configurations differ only in the scorer choice:
+
+    - {e untiered} ([tier0] absent): no estimator; the screen keeps every
+      legal candidate, records no {!decision}, counts no tier-0
+      evaluation and never bound-prunes;
+    - {e tiered} ([tier0] given): the screen forwards the top
+      [exact_topk] by estimate and bound-prunes;
+    - {e tier-0 only} ([tier0_only]): the estimate is the exact-tier
+      score, so the screen keeps everything and nothing is simulated.
+
     {b Observability}: pass a {!Itf_obs.Tracer} to record the span tree
-    (search → step → expand / tier0 / exact (or evaluate, untiered) /
-    merge → per-candidate legality and objective spans; the simulators
-    attach below the objective via the ambient tracer). Per-candidate
-    spans are forked and joined in input order, so the span tree and all
-    metric totals are identical between sequential and parallel runs —
-    timings aside. Pass a {!Itf_obs.Metrics} registry to accumulate
-    [legality.rejections{reason=...}] counters and the {!Stats} record;
-    pass [~provenance:true] to keep every rejected candidate with its
-    structured cause plus, on tiered searches, every tier-0 screening
-    {!decision} ([loopt optimize --explain]).
+    (search → root phases, then step → expand / legality / tier0 / exact
+    / merge; under exact, one candidate span per survivor with its
+    objective span, and the simulators attach below the objective via
+    the ambient tracer). One combinator opens each phase span and books
+    its time into {!Stats}, so span totals equal the {!Stats} phase
+    times. Per-candidate spans are forked and joined in input order, so
+    the span tree and all metric totals are identical between sequential
+    and parallel runs — timings aside. Pass a {!Itf_obs.Metrics} registry
+    to accumulate [legality.rejections{reason=...}] counters and the
+    {!Stats} record; pass [~provenance:true] to keep every rejected
+    candidate with its structured cause plus, on tiered searches, every
+    tier-0 screening {!decision} ([loopt optimize --explain]).
 
     {!Stats} records what was done and what was avoided. *)
 
@@ -68,11 +84,10 @@ type rejection = { candidate : Itf_core.Sequence.t; cause : cause }
 
 (** Anytime budget for {!search}: a wall-clock deadline (seconds from
     search start) and/or a cap on nodes explored. Checked only at batch
-    boundaries — at every step start, and between a step's evaluation
-    batches (after the single-tier batch would start; between the tier-0
-    and exact batches on tiered searches). On expiry the search stops and
-    returns the best-so-far incumbent marked {!Degraded} instead of
-    raising; a partially evaluated step is abandoned whole, so the
+    boundaries — at every step start, before a step's legality phase and
+    before its exact phase. On expiry the search stops and returns the
+    best-so-far incumbent marked {!Degraded} instead of raising; the
+    frontier of a partially evaluated step is abandoned whole, so the
     outcome is a deterministic function of the cut point. *)
 type budget = { deadline_s : float option; max_nodes : int option }
 
@@ -124,10 +139,28 @@ val default_exact_topk : int
 (** Default [~exact_topk]: exact objective evaluations per step on tiered
     searches. *)
 
+val objective :
+  ?metrics:Itf_obs.Metrics.t ->
+  ?memo:bool ->
+  procs:int ->
+  params:(string * int) list ->
+  exact_topk:int ->
+  tier0_only:bool ->
+  string ->
+  (Search.objective * Costmodel.spec option, string) result
+(** [objective ~procs ~params ~exact_topk ~tier0_only name] is the search
+    configuration behind an objective name — the one choice [loopt
+    optimize], [loopt serve] and [bench --search] share: ["locality"] is
+    {!Search.cache_misses} on an 8 KiB, 64-byte-line, 2-way cache;
+    ["parallel"] is {!Search.parallel_time} on [procs] processors with a
+    spawn overhead of 2. Each comes with the tier-0 spec that mirrors it,
+    or [None] when [exact_topk = 0] (untiered search). [metrics] and
+    [memo] go to the exact objective. [Error] names an unknown objective
+    or the conflict of [tier0_only] with [exact_topk = 0]. *)
+
 val search :
   ?beam:int ->
   ?steps:int ->
-  ?block_sizes:int list ->
   ?domains:int ->
   ?tracer:Itf_obs.Tracer.t ->
   ?metrics:Itf_obs.Metrics.t ->
@@ -135,9 +168,7 @@ val search :
   ?tier0:Costmodel.spec ->
   ?exact_topk:int ->
   ?tier0_only:bool ->
-  ?intern:bool ->
   ?budget:budget ->
-  ?cache_cap:int ->
   Nest.t ->
   Search.objective ->
   outcome option
@@ -146,7 +177,7 @@ val search :
     sequence. [domains] is the total parallelism (default
     {!default_domains}; [1] runs entirely on the calling domain).
 
-    [tier0], when given, enables the two-tier evaluator: the {!Costmodel}
+    [tier0], when given, enables the tier-0 screen: the {!Costmodel}
     spec should mirror the exact objective (same cache geometry /
     processor count / parameters). [exact_topk] (default
     {!default_exact_topk}, clamped to at least [beam]) caps exact
@@ -155,36 +186,21 @@ val search :
     untrusted-but-fast escape hatch, whose winner is {e not} guaranteed to
     match the exact search.
 
-    [intern] (default [true]) keys the cross-step cache on canonical
-    sequence intern ids via {!Itf_core.Sequence.reduce_memo} and passes
-    [~memo:true] to the tier-0 {!Costmodel.make}. Intern ids are used for
-    cache {e equality} only — candidate ordering stays structural — so
-    the winner, score and provenance are identical with [~intern:false]
-    (which uses structural keys and recomputes tier-0 estimates; the CI
-    bench gate asserts this). All interning runs on the calling domain;
-    worker domains only read canonical values.
-
     [budget], when given, makes the search {e anytime}: the deadline
     and/or node cap are checked at batch boundaries only (never inside a
     batch), and on expiry the best candidate found so far is returned
     with [completion = Degraded] — never an exception. A cut abandons the
-    in-flight step entirely, so two runs cut at the same checkpoint
+    in-flight step's frontier, so two runs cut at the same checkpoint
     return bit-identical outcomes, and a run whose budget never trips is
     bit-identical to an unbudgeted one. The root nest is always
     evaluated, budget or not: even a 0-second deadline yields the
     identity sequence rather than [None].
 
-    [cache_cap] (default unbounded) caps the per-search cross-step cache:
-    when a step ends with more entries, the cache is flushed (entries are
-    pure facts about canonical sequences, so this costs recomputation,
-    never correctness). The final size and entries evicted are published
-    as [engine.cache.size] / [engine.cache.evictions] gauges when
-    [metrics] is given.
-
     [tracer]/[metrics] default to disabled; [provenance] (default false)
     retains per-candidate rejection causes and tier-0 decisions in the
-    outcome; with [metrics], intern-table sizes and hit counts are
-    published as [intern.size]/[intern.hits]/[intern.misses] gauges
-    labeled by table name. Returns [None] when not even the untransformed
-    nest is scoreable. *)
-
+    outcome. With [metrics], the final per-search cache size is published
+    as the [engine.cache.size] gauge, and intern-table sizes and hit
+    counts as [intern.size]/[intern.hits]/[intern.misses]/
+    [intern.evictions] gauges labeled by table name. All interning runs on
+    the calling domain; worker domains only read canonical values.
+    Returns [None] when not even the untransformed nest is scoreable. *)

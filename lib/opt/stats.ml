@@ -18,7 +18,6 @@ type t = {
   domains : int;
   work_threshold : int;
   expand_time_s : float;
-  evaluate_time_s : float;
   legality_time_s : float;
   tier0_time_s : float;
   exact_time_s : float;
@@ -41,7 +40,6 @@ let zero =
     domains = 1;
     work_threshold = 0;
     expand_time_s = 0.;
-    evaluate_time_s = 0.;
     legality_time_s = 0.;
     tier0_time_s = 0.;
     exact_time_s = 0.;
@@ -60,12 +58,12 @@ let pp ppf s =
      objective evaluations %d@,\
      tier-0 evaluations    %d (pruned %d candidates before the exact tier)@,\
      domains               %d (sequential below %d candidates/step)@,\
-     time: expand %.3fs, evaluate %.3fs (legality %.3fs, tier-0 %.3fs, \
-     exact %.3fs), merge %.3fs, total %.3fs@]"
+     time: expand %.3fs, legality %.3fs, tier-0 %.3fs, exact %.3fs, \
+     merge %.3fs, total %.3fs@]"
     s.nodes_explored s.duplicates_pruned s.legality_cache_hits
     s.score_cache_hits s.illegal s.template_applications
     s.template_applications_saved s.objective_evaluations s.tier0_evaluations
-    s.tier0_pruned s.domains s.work_threshold s.expand_time_s s.evaluate_time_s
+    s.tier0_pruned s.domains s.work_threshold s.expand_time_s
     s.legality_time_s s.tier0_time_s s.exact_time_s s.merge_time_s
     s.total_time_s
 
@@ -86,7 +84,6 @@ let to_json_value s =
       ("domains", Itf_obs.Json.Int s.domains);
       ("work_threshold", Itf_obs.Json.Int s.work_threshold);
       ("expand_time_s", Itf_obs.Json.Float s.expand_time_s);
-      ("evaluate_time_s", Itf_obs.Json.Float s.evaluate_time_s);
       ("legality_time_s", Itf_obs.Json.Float s.legality_time_s);
       ("tier0_time_s", Itf_obs.Json.Float s.tier0_time_s);
       ("exact_time_s", Itf_obs.Json.Float s.exact_time_s);

@@ -4,7 +4,13 @@
     counts actual template stage applications (bounds check + code
     generation + vector mapping), while [template_applications_saved] counts
     the applications a from-root replay of every candidate (the pre-engine
-    behaviour of [Search.best]) would have performed on top of that. *)
+    behaviour of [Search.best]) would have performed on top of that.
+
+    The five phase times ([expand] through [merge]) are the wall time
+    each engine phase ran, booked by the same combinator that opens the
+    phase's [engine.<phase>] span — so on a traced search they equal the
+    span totals. With several domains a phase's batches run in parallel
+    and its time is still wall time, not CPU time summed over domains. *)
 
 type t = {
   nodes_explored : int;  (** candidate sequences considered (incl. root) *)
@@ -30,16 +36,13 @@ type t = {
       (** steps with fewer evaluation candidates than this ran on the
           calling thread even when [domains > 1] (see {!Pool.map_auto}) *)
   expand_time_s : float;  (** move generation + canonicalization + dedupe *)
-  evaluate_time_s : float;  (** legality + objective evaluation (all domains) *)
   legality_time_s : float;
-      (** per-candidate template application + dependence testing (summed
-          across domains, merged in input order) — a component of
-          [evaluate_time_s], plus the root's legality check *)
-  tier0_time_s : float;
-      (** per-candidate tier-0 analytic estimates (summed across domains) *)
+      (** template application + dependence testing of the cache misses,
+          the root's included *)
+  tier0_time_s : float;  (** tier-0 analytic estimates and the screen *)
   exact_time_s : float;
-      (** per-candidate exact objective simulations (summed across
-          domains), including the root evaluation *)
+      (** exact objective simulations of the screen survivors, the root's
+          included *)
   merge_time_s : float;  (** deterministic sort/beam selection *)
   total_time_s : float;
 }

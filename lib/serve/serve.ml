@@ -209,6 +209,8 @@ type request = {
   tier0_only : bool;
   deadline_ms : float option;
   max_nodes : int option;
+  exact : Itf_opt.Search.objective;
+  tier0 : Itf_opt.Costmodel.spec option;
 }
 
 let opt_field name conv json = Option.bind (Json.member name json) conv
@@ -243,7 +245,7 @@ let params_field json =
 
 let ( let* ) = Result.bind
 
-let parse_request json =
+let parse_request ~metrics json =
   match json with
   | Json.Obj _ ->
     let* nest_src =
@@ -254,13 +256,6 @@ let parse_request json =
     let objective =
       Option.value ~default:"locality" (opt_field "objective" Json.to_str json)
     in
-    let* () =
-      if objective = "locality" || objective = "parallel" then Ok ()
-      else
-        Error
-          (Printf.sprintf "unknown objective %S (use locality|parallel)"
-             objective)
-    in
     let* params = params_field json in
     let* procs = int_field "procs" ~default:8 json in
     let* steps = int_field "steps" ~default:2 json in
@@ -269,10 +264,9 @@ let parse_request json =
       int_field "exact_topk" ~default:Engine.default_exact_topk json
     in
     let* tier0_only = bool_field "tier0_only" ~default:false json in
-    let* () =
-      if tier0_only && exact_topk = 0 then
-        Error "tier0_only conflicts with exact_topk = 0"
-      else Ok ()
+    let* exact, tier0 =
+      Engine.objective ~metrics ~procs ~params ~exact_topk ~tier0_only
+        objective
     in
     let deadline_ms = opt_field "deadline_ms" Json.to_float json in
     let max_nodes = opt_field "max_nodes" Json.to_int json in
@@ -289,6 +283,8 @@ let parse_request json =
         tier0_only;
         deadline_ms;
         max_nodes;
+        exact;
+        tier0;
       }
   | _ -> Error "request must be a JSON object"
 
@@ -422,9 +418,12 @@ let count_request t status =
 let shed_counter t = Metrics.counter t.metrics "serve.queue.shed"
 let busy_gauge t = Metrics.gauge t.metrics "serve.workers.busy"
 
+(* Queue waits are often well under a millisecond, so the layout starts
+   at 1us (the value stays in ms). *)
+let queue_wait_buckets = Metrics.log_linear ~lo:0.001 ~hi:1e5
+
 let queue_wait t =
-  Metrics.histogram t.metrics ~buckets:Metrics.duration_buckets
-    "serve.queue.wait_ms"
+  Metrics.histogram t.metrics ~buckets:queue_wait_buckets "serve.queue.wait_ms"
 
 let publish_cache_gauges t =
   let hits, misses, evictions, size = Lru.counters t.cache in
@@ -489,31 +488,6 @@ let search_response t ~tracer req ~t_recv =
     match Lru.find t.cache key with
     | Some cached -> Ok (`Cached (cached, key))
     | None ->
-      let memo = true in
-      let obj, tier0 =
-        match req.objective with
-        | "locality" ->
-          ( Itf_opt.Search.cache_misses ~metrics:t.metrics ~memo
-              ~params:req.params (),
-            Itf_opt.Costmodel.Locality
-              {
-                config =
-                  {
-                    Itf_machine.Cache.size_bytes = 8192;
-                    line_bytes = 64;
-                    assoc = 2;
-                  };
-                elem_bytes = 8;
-                params = req.params;
-              } )
-        | _ ->
-          ( Itf_opt.Search.parallel_time ~metrics:t.metrics ~memo
-              ~procs:req.procs ~params:req.params (),
-            Itf_opt.Costmodel.Parallel
-              { procs = req.procs; spawn_overhead = 2.0; params = req.params }
-          )
-      in
-      let tier0 = if req.exact_topk = 0 then None else Some tier0 in
       (* The deadline is measured from receipt, so time spent queued
          behind other requests counts against it — a late search is cut
          shorter, not granted a fresh allowance. *)
@@ -543,9 +517,9 @@ let search_response t ~tracer req ~t_recv =
             ])
           (fun () ->
             Engine.search ~beam:req.beam ~steps:req.steps ?domains:t.domains
-              ~tracer ~metrics:t.metrics ?tier0
+              ~tracer ~metrics:t.metrics ?tier0:req.tier0
               ~exact_topk:(max 1 req.exact_topk) ~tier0_only:req.tier0_only
-              ?budget nest obj)
+              ?budget nest req.exact)
       in
       (match outcome with
       | None -> Error "nest could not be scored"
@@ -982,7 +956,7 @@ let submit t json k =
     Mutex.protect t.obs_lock (fun () -> flush_observability t);
     k (resp, false)
   | None -> (
-    match parse_request json with
+    match parse_request ~metrics:t.metrics json with
     | Error msg ->
       (* Malformed searches never occupy a worker: answered inline, but
          still counted and ring-recorded like any other request. *)

@@ -736,10 +736,59 @@ let test_engine_seq_par_observability () =
     (fun n ->
       check_bool (n ^ " span present") true (List.mem n all))
     [
-      "engine.search"; "engine.step"; "engine.expand"; "engine.evaluate";
-      "engine.merge"; "engine.candidate"; "engine.legality";
+      "engine.search"; "engine.step"; "engine.expand"; "engine.legality";
+      "engine.tier0"; "engine.exact"; "engine.merge"; "engine.candidate";
       "engine.objective"; "memsim.run";
     ]
+
+(* Every phase runs through one combinator that opens its
+   [engine.<phase>] span and books that span's duration into the stats
+   record, so on a traced one-domain search each phase's span total
+   equals its Stats time. *)
+let test_engine_phase_spans_match_stats () =
+  let params = [ ("n", 8) ] in
+  let tracer = Tracer.create () in
+  let o =
+    match
+      Engine.search ~beam:4 ~steps:2 ~domains:1 ~tracer
+        ~tier0:
+          (Itf_opt.Costmodel.Locality
+             {
+               config =
+                 { Itf_machine.Cache.size_bytes = 8192; line_bytes = 64; assoc = 2 };
+               elem_bytes = 8;
+               params;
+             })
+        (Builders.matmul ())
+        (Search.cache_misses ~memo:false ~params ())
+    with
+    | Some o -> o
+    | None -> Alcotest.fail "engine returned nothing"
+  in
+  let rec total name acc (s : Tracer.span) =
+    List.fold_left (total name)
+      (if s.Tracer.name = name then acc +. s.Tracer.dur_s else acc)
+      s.Tracer.children
+  in
+  let s = o.Engine.stats in
+  List.iter
+    (fun (phase, booked) ->
+      let spans =
+        List.fold_left (total ("engine." ^ phase)) 0. (Tracer.roots tracer)
+      in
+      check_bool
+        (Printf.sprintf "%s: span total %.6fs vs stats %.6fs" phase spans
+           booked)
+        true
+        (spans > 0. && Float.abs (spans -. booked) <= 0.01 *. spans))
+    Itf_opt.Stats.
+      [
+        ("expand", s.expand_time_s);
+        ("legality", s.legality_time_s);
+        ("tier0", s.tier0_time_s);
+        ("exact", s.exact_time_s);
+        ("merge", s.merge_time_s);
+      ]
 
 let () =
   Alcotest.run "obs"
@@ -804,5 +853,7 @@ let () =
         [
           Alcotest.test_case "parallel == sequential (spans + metrics)"
             `Quick test_engine_seq_par_observability;
+          Alcotest.test_case "phase spans equal Stats phase times" `Quick
+            test_engine_phase_spans_match_stats;
         ] );
     ]
