@@ -132,6 +132,37 @@ let test_block_sizes_option () =
           (function Template.Block _ -> true | _ -> false)
           (Search.moves nest ~depth:4)))
 
+(* Every objective instance reuses one per-domain scratch slot: serve
+   builds an instance per request, so per-instance domain-local keys would
+   grow every domain's key table — and keep each instance's environment
+   and cache alive — for the life of the process. 2000 fresh instances,
+   each evaluated once without the score memo, must leave live words
+   flat. *)
+let test_objective_scratch_flat () =
+  let result =
+    match Framework.apply (column_major ()) [] with
+    | Ok r -> r
+    | Error _ -> Alcotest.fail "identity is legal"
+  in
+  let eval () =
+    ignore (Search.cache_misses ~memo:false ~params:[ ("n", 4) ] () result);
+    ignore
+      (Search.parallel_time ~memo:false ~procs:2 ~params:[ ("n", 4) ] () result)
+  in
+  let live () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  for _ = 1 to 50 do eval () done;
+  let before = live () in
+  for _ = 1 to 2000 do eval () done;
+  let after = live () in
+  check_bool
+    (Printf.sprintf "live words flat over 2000 instances (%d -> %d)" before
+       after)
+    true
+    (after - before < 2000 * 20)
+
 let () =
   Alcotest.run "opt"
     [
@@ -147,5 +178,7 @@ let () =
           Alcotest.test_case "respects legality" `Quick test_search_respects_legality;
           Alcotest.test_case "explored counter" `Quick test_explored_counter;
           Alcotest.test_case "block size option" `Quick test_block_sizes_option;
+          Alcotest.test_case "objective scratch does not grow per instance"
+            `Quick test_objective_scratch_flat;
         ] );
     ]

@@ -141,6 +141,48 @@ let test_caches_and_savings () =
     (s.Itf_opt.Stats.template_applications < old_.Search.checked_templates);
   check_bool "explored something" true (s.Itf_opt.Stats.nodes_explored > 10)
 
+(* Tier-0-only search never simulates: the estimate is its exact-tier
+   score. Its winner must still be a legal transformation, and its score
+   the estimate of the winner's own result. *)
+let test_tier0_only () =
+  let params = [ ("n", 8) ] in
+  List.iter
+    (fun (label, spec, objective) ->
+      let nest = Builders.matmul () in
+      match
+        Engine.search ~beam:4 ~steps:2 ~domains:1 ~tier0:spec ~tier0_only:true
+          nest objective
+      with
+      | None -> Alcotest.failf "%s: tier0-only search returned nothing" label
+      | Some o -> (
+        check_int (label ^ ": no exact evaluation") 0
+          o.Engine.stats.Itf_opt.Stats.objective_evaluations;
+        match Itf_core.Framework.apply nest o.Engine.sequence with
+        | Error _ -> Alcotest.failf "%s: winner does not re-apply" label
+        | Ok r ->
+          check_bool (label ^ ": same transformed nest") true
+            (compare r.Itf_core.Framework.nest
+               o.Engine.result.Itf_core.Framework.nest
+            = 0);
+          Alcotest.(check (float 0.0))
+            (label ^ ": score is the winner's estimate")
+            (Itf_opt.Costmodel.make spec r).Itf_opt.Costmodel.score
+            o.Engine.score))
+    [
+      ( "locality",
+        Itf_opt.Costmodel.Locality
+          {
+            config =
+              { Itf_machine.Cache.size_bytes = 8192; line_bytes = 64; assoc = 2 };
+            elem_bytes = 8;
+            params;
+          },
+        Search.cache_misses ~params () );
+      ( "parallel",
+        Itf_opt.Costmodel.Parallel { procs = 4; spawn_overhead = 2.0; params },
+        Search.parallel_time ~procs:4 ~params () );
+    ]
+
 (* The domain pool is order-preserving and exception-safe. *)
 let test_pool_map () =
   let pool = Itf_opt.Pool.create 3 in
@@ -169,6 +211,8 @@ let () =
             test_parallel_deterministic;
           Alcotest.test_case "caches hit, work saved" `Quick
             test_caches_and_savings;
+          Alcotest.test_case "tier0-only: no simulation, legal winner" `Quick
+            test_tier0_only;
           Alcotest.test_case "pool map" `Quick test_pool_map;
         ] );
     ]

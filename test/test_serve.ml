@@ -159,7 +159,7 @@ let test_tiered_hits_not_collapsed () =
 (* ------------------------------------------------------------------ *)
 
 let req ?(id = Json.Int 1) ?deadline_ms ?max_nodes ?(params = [ ("n", Json.Int 12) ])
-    ?(steps = 2) nest =
+    ?(steps = 2) ?(extra = []) nest =
   Json.to_string
     (Json.Obj
        ([
@@ -168,6 +168,7 @@ let req ?(id = Json.Int 1) ?deadline_ms ?max_nodes ?(params = [ ("n", Json.Int 1
           ("params", Json.Obj params);
           ("steps", Json.Int steps);
         ]
+       @ extra
        @ (match deadline_ms with
          | None -> []
          | Some ms -> [ ("deadline_ms", Json.Float ms) ])
@@ -468,6 +469,55 @@ let test_serve_phase_sum_vs_total () =
     true
     (sum4 >= 0.5 *. total && sum4 <= 1.05 *. total)
 
+(* The two configurations besides the default tiered search, and the
+   rule that they exclude each other. Untiered ([exact_topk] 0) simulates
+   every legal candidate and tier-0-only simulates none; on matmul both
+   agree with the tiered winner. *)
+let test_serve_search_configurations () =
+  let server = Serve.create ~domains:1 ~max_cache:0 () in
+  let run extra = fst (Serve.handle_line server (req ~extra matmul_src)) in
+  let evals resp =
+    match Json.to_int (field "exact_evals" resp) with
+    | Some n -> n
+    | None -> Alcotest.fail "exact_evals not an int"
+  in
+  let tiered = run [] in
+  let untiered = run [ ("exact_topk", Json.Int 0) ] in
+  let estimate_only = run [ ("tier0_only", Json.Bool true) ] in
+  List.iter
+    (fun (label, resp) -> check_string (label ^ " ok") "ok" (status resp))
+    [ ("tiered", tiered); ("untiered", untiered); ("tier0_only", estimate_only) ];
+  check_bool "untiered simulates more than tiered" true
+    (evals untiered > evals tiered);
+  check_int "tier0_only simulates nothing" 0 (evals estimate_only);
+  check_bool "untiered and tiered winners agree" true
+    (Json.equal (field "sequence" untiered) (field "sequence" tiered)
+    && Json.equal (field "score" untiered) (field "score" tiered));
+  let conflict =
+    run [ ("exact_topk", Json.Int 0); ("tier0_only", Json.Bool true) ]
+  in
+  check_string "conflict is an error" "error" (status conflict);
+  check_string "conflict names the rule"
+    "tier0_only conflicts with exact_topk = 0"
+    (Option.value ~default:"" (Json.to_str (field "error" conflict)))
+
+(* Queue waits are mostly sub-millisecond, so the wait histogram must
+   resolve them: 0.03 ms waits report a p50 near 0.03 ms, not an
+   interpolation inside a [0, 1] ms bucket. *)
+let test_serve_queue_wait_sub_ms () =
+  let server = Serve.create ~domains:1 () in
+  (* the first op creates the histogram with the server's layout *)
+  ignore (Serve.handle_line server "{\"op\": \"status\"}");
+  let wait =
+    Itf_obs.Metrics.histogram (Serve.metrics server) "serve.queue.wait_ms"
+  in
+  for _ = 1 to 20 do
+    Itf_obs.Metrics.observe wait 0.03
+  done;
+  let st, _ = Serve.handle_line server "{\"op\": \"status\"}" in
+  let p50 = to_float_exn (obj_field [ "queue"; "wait_ms_p50" ] st) in
+  check_bool (Printf.sprintf "wait p50 %.4f ms < 0.1 ms" p50) true (p50 < 0.1)
+
 let test_serve_shutdown () =
   let server = Serve.create ~domains:1 () in
   let resp, stop = Serve.handle_line server "{\"op\": \"shutdown\", \"id\": 9}" in
@@ -724,6 +774,8 @@ let () =
             test_serve_lru_eviction;
           Alcotest.test_case "shutdown request stops the loop" `Quick
             test_serve_shutdown;
+          Alcotest.test_case "untiered, tier0-only and their conflict" `Quick
+            test_serve_search_configurations;
         ] );
       ( "introspection",
         [
@@ -740,6 +792,8 @@ let () =
             test_serve_sampling_retention;
           Alcotest.test_case "phase sum tracks search total" `Quick
             test_serve_phase_sum_vs_total;
+          Alcotest.test_case "queue wait resolves sub-ms waits" `Quick
+            test_serve_queue_wait_sub_ms;
         ] );
       ( "concurrency",
         [
