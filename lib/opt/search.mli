@@ -56,6 +56,10 @@ type backend = [ `Interpreted | `Compiled ]
     identical scores — the switch exists for differential testing and as
     an escape hatch. *)
 
+val default_cache_config : Itf_machine.Cache.config
+(** The cache {!cache_misses} simulates by default: 8 KiB, 64-byte lines,
+    2-way set associative. *)
+
 val cache_misses :
   ?config:Itf_machine.Cache.config -> ?backend:backend ->
   ?metrics:Itf_obs.Metrics.t -> ?memo:bool ->
